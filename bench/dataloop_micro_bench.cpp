@@ -7,12 +7,14 @@
 // figure/table benches which measure simulated time.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/region.h"
 #include "common/rng.h"
 #include "dataloop/cursor.h"
@@ -235,6 +237,21 @@ void BM_TypeToDataloopConversion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TypeToDataloopConversion);
+
+void BM_Crc32(benchmark::State& state) {
+  // The payload CRC every data RPC and Bstream page checksum pays on the
+  // host (docs/architecture.md, "Host cost of integrity").
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  Rng rng(5);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = crc32(buf, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Range(64, 4 << 20);
 
 }  // namespace
 }  // namespace dtio

@@ -409,6 +409,24 @@ void Client::breaker_on_failure(Lane& l, int server) {
 
 // ---- RPC reliability core ---------------------------------------------------
 
+namespace {
+
+// True when the reply's payload fails its CRC stamp; sets `error` then. The
+// observed CRC is embedded so two distinct corruptions of the same reply
+// never look like the identical, deterministic failure the data-loss
+// fast-fail in rpc_attempts keys on.
+bool payload_crc_mismatch(const Reply& reply, int server, Status& error) {
+  if (!reply.has_payload_crc || !reply.data) return false;
+  const std::uint32_t observed = crc32(*reply.data);
+  if (observed == reply.payload_crc) return false;
+  error = data_loss("read reply payload CRC mismatch from server " +
+                    std::to_string(server) + " (observed crc " +
+                    std::to_string(observed) + ")");
+  return true;
+}
+
+}  // namespace
+
 sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
   const net::ClientConfig& cc = config_->client;
   const bool reliable = cc.rpc_timeout > 0;
@@ -637,16 +655,9 @@ sim::Task<void> Client::rpc_attempts(RpcSlot* slot) {
     }
     // Read-data integrity: corrupted reply payloads must not reach the
     // caller's buffer; treat like a lost reply and retry.
-    if (reply.has_payload_crc && reply.data &&
-        crc32(*reply.data) != reply.payload_crc) {
+    if (payload_crc_mismatch(reply, slot->server, last)) {
       all_timeouts = false;
       if (reliable) health_note(ln, 0, /*failed=*/true);
-      // The observed CRC is embedded so two distinct corruptions of the
-      // same reply never look like the identical, deterministic failure
-      // the data-loss fast-fail below keys on.
-      last = data_loss("read reply payload CRC mismatch from server " +
-                       std::to_string(slot->server) + " (observed crc " +
-                       std::to_string(crc32(*reply.data)) + ")");
       continue;
     }
     if (!reply.ok) {

@@ -1,7 +1,9 @@
 // Unit tests for common utilities: Status/Result, regions, units, CRC, RNG.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/box.h"
@@ -165,6 +167,73 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   chained = crc32(std::span(data).subspan(0, 400), chained);
   chained = crc32(std::span(data).subspan(400), chained);
   EXPECT_EQ(whole, chained);
+}
+
+// Table-free CRC-32, one bit at a time: the definition both kernels must
+// reproduce.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320U & (0U - (c & 1)));
+  }
+  return ~c;
+}
+
+using Crc32Kernel = std::uint32_t (*)(std::span<const std::uint8_t>,
+                                      std::uint32_t) noexcept;
+
+// Every length 0..1100 at every misalignment 0..15, each with its own seed:
+// covers short buffers, the 64-byte folding threshold and all tail lengths.
+void expect_matches_bitwise(Crc32Kernel kernel) {
+  std::vector<std::uint8_t> buf(1100 + 16);
+  Rng rng(11);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    for (std::size_t mis = 0; mis < 16; ++mis) {
+      const auto data = std::span<const std::uint8_t>(buf).subspan(mis, len);
+      const auto seed = static_cast<std::uint32_t>(rng.next());
+      ASSERT_EQ(kernel(data, seed), crc32_bitwise(data, seed))
+          << "len " << len << " misalignment " << mis << " seed " << seed;
+    }
+  }
+}
+
+// Splitting a 1 MiB buffer at every residue mod 64 and chaining gives the
+// one-shot result, so folded bodies and table tails compose at any boundary.
+void expect_chained_splits_match(Crc32Kernel kernel) {
+  std::vector<std::uint8_t> buf(std::size_t{1} << 20);
+  Rng rng(13);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const std::span<const std::uint8_t> all(buf);
+  const std::uint32_t whole = kernel(all, 0);
+  EXPECT_EQ(whole, crc32_bitwise(all, 0));
+  for (std::size_t r = 0; r < 64; ++r) {
+    const std::size_t split = 4096 * r + r;
+    const std::uint32_t a = kernel(all.subspan(0, split), 0);
+    EXPECT_EQ(kernel(all.subspan(split), a), whole) << "split at " << split;
+  }
+}
+
+TEST(Crc32, PortableKernelMatchesBitwiseReference) {
+  expect_matches_bitwise(&detail::crc32_portable);
+  expect_chained_splits_match(&detail::crc32_portable);
+}
+
+TEST(Crc32, FoldedKernelMatchesBitwiseReference) {
+  if (!detail::crc32_folding_available()) {
+    GTEST_SKIP() << "CPU lacks carry-less multiply";
+  }
+  expect_matches_bitwise(&detail::crc32_folded);
+  expect_chained_splits_match(&detail::crc32_folded);
+}
+
+TEST(Crc32, ChainedSplitsMatchOneShot) {
+  expect_chained_splits_match([](std::span<const std::uint8_t> data,
+                                 std::uint32_t seed) noexcept {
+    return crc32(data, seed);
+  });
 }
 
 TEST(Rng, DeterministicForSeed) {
